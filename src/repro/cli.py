@@ -82,16 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("point",
                        help="operating-point id, e.g. fig3.ph1-b32-fp32 or "
                             "tiny.ph1-b2-fp32")
-    trace.add_argument("--from-graph", action="store_true",
-                       dest="from_graph",
-                       help="build via the lazy tensor graph and scheduler "
-                            "(validated and cross-checked bit-exact "
-                            "against the layer-templated builder) instead "
-                            "of the builder directly")
-    trace.add_argument("--rewrites", default=None, metavar="NAME,NAME",
-                       help="schedule rewrites applied to the graph before "
-                            "lowering (graph path only), e.g. "
-                            "fuse_elementwise")
 
     grid = commands.add_parser(
         "grid",
@@ -423,8 +413,7 @@ def _cmd_cache(action: str) -> int:
     return 0
 
 
-def _cmd_trace(point: str, *, from_graph: bool = False,
-               rewrites: str | None = None) -> int:
+def _cmd_trace(point: str) -> int:
     from repro.experiments.points import resolve_point
     from repro.trace.bert_trace import build_iteration_trace
 
@@ -434,44 +423,9 @@ def _cmd_trace(point: str, *, from_graph: bool = False,
         print(error.args[0], file=sys.stderr)
         return 2
 
-    names = tuple(n for n in (rewrites or "").split(",") if n)
-    if names and not from_graph:
-        print("--rewrites requires --from-graph", file=sys.stderr)
-        return 2
-
-    if from_graph:
-        from repro.tensor.schedule import ScheduleError
-        from repro.trace.builder import Trace
-        from repro.trace.lowerer import SCHEDULE_REWRITES, bert_iteration_graph
-        unknown = [n for n in names if n not in SCHEDULE_REWRITES]
-        if unknown:
-            print(f"unknown rewrites {unknown}; valid: "
-                  f"{', '.join(sorted(SCHEDULE_REWRITES))}", file=sys.stderr)
-            return 2
-        try:
-            graph = bert_iteration_graph(model, training, rewrites=names)
-            graph.validate()
-        except ScheduleError as error:
-            print(f"invalid schedule: {error}", file=sys.stderr)
-            return 1
-        trace = Trace.from_table(model, training, graph.lower())
-        source = f"lazy graph ({len(graph.schedule)} schedule items)"
-        if not names:
-            match = (trace.table.to_kernels()
-                     == build_iteration_trace(model, training)
-                     .table.to_kernels())
-            source += (", bit-identical to builder" if match
-                       else ", DIVERGES from builder")
-            if not match:
-                print(f"{source}", file=sys.stderr)
-                return 1
-    else:
-        trace = build_iteration_trace(model, training)
-        source = "layer-templated builder"
-
+    trace = build_iteration_trace(model, training)
     gemms = len(trace.gemms())
     print(f"{point}: {model.name} {training.label}")
-    print(f"source: {source}")
     print(f"kernels: {len(trace)} ({gemms} gemms)")
     print(f"total flops: {trace.total_flops:,}")
     print(f"total bytes: {trace.total_bytes:,}")
@@ -628,8 +582,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "cache":
         return _cmd_cache(args.action)
     if args.command == "trace":
-        return _cmd_trace(args.point, from_graph=args.from_graph,
-                          rewrites=args.rewrites)
+        return _cmd_trace(args.point)
     if args.command == "grid":
         return _cmd_grid(args.model, args.batch_sizes, args.seq_lens,
                          args.precisions, args.csv)

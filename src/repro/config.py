@@ -18,8 +18,19 @@ hyperparameter vocabulary of the paper lives in one place.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from enum import Enum
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or NumPy integer (``bool`` excluded).
+
+    Boundaries use this instead of ``int()``, which would silently turn
+    ``2.5`` into ``2`` and ``True`` into ``1``.
+    """
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
 class Precision(Enum):
@@ -165,6 +176,11 @@ class TrainingConfig:
     optimizer: str = "lamb"
 
     def __post_init__(self) -> None:
+        for field in ("batch_size", "seq_len"):
+            value = getattr(self, field)
+            if not is_integer(value):
+                raise ValueError(f"{field} must be an integer, "
+                                 f"got {value!r}")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if self.seq_len <= 0:

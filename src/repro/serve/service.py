@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 
 from repro.config import (BERT_BASE, BERT_LARGE, BERT_TINY, C1, C2, C3,
-                          BertConfig, Precision, TrainingConfig)
+                          BertConfig, Precision, TrainingConfig, is_integer)
 from repro.experiments.common import default_device, run_point
 from repro.experiments.points import POINT_REGISTRY
 from repro.faults import sites as fault_sites
@@ -48,6 +48,13 @@ _PRECISIONS = {"fp32": Precision.FP32, "mixed": Precision.MIXED,
 #: Upper bound on points per ``POST /grid`` — a single request must not
 #: stamp an unbounded KernelTable.
 MAX_GRID_POINTS = 4096
+
+#: Upper bound on every batch size and sequence length of a ``POST /grid``
+#: point, from int64 headroom: at B = n = 2**14 the costliest grid model
+#: (c3) totals about 0.51 * 2**63 FLOPs per iteration, so every per-kernel
+#: cost and every per-point total fits in int64.  At 2**15 on both axes
+#: the FLOP total passes 2**63.
+MAX_GRID_EXTENT = 2 ** 14
 
 
 def render_json(payload: dict) -> bytes:
@@ -185,17 +192,22 @@ class ProfilingService:
             raise ValueError(f"unknown model {model_name!r}; valid: "
                              f"{', '.join(sorted(GRID_MODELS))}")
         try:
-            batches = [int(b) for b in spec.get("batch_sizes", (32,))]
-            lengths = [int(n) for n in spec.get("seq_lens", (128,))]
+            batches = list(spec.get("batch_sizes", (32,)))
+            lengths = list(spec.get("seq_lens", (128,)))
             precisions = [_PRECISIONS[str(p).lower()]
                           for p in spec.get("precisions", ("fp32",))]
-        except (KeyError, TypeError, ValueError):
+            if not all(map(is_integer, batches + lengths)):
+                raise TypeError
+        except (KeyError, TypeError):
             raise ValueError("batch_sizes/seq_lens must be integer lists, "
                              "precisions from fp32,mixed") from None
         if not (batches and lengths and precisions):
             raise ValueError("empty grid axis")
         if min(batches) <= 0 or min(lengths) <= 0:
             raise ValueError("batch sizes and seq lens must be positive")
+        if max(batches) > MAX_GRID_EXTENT or max(lengths) > MAX_GRID_EXTENT:
+            raise ValueError(f"batch sizes and seq lens must be at most "
+                             f"{MAX_GRID_EXTENT}")
         total = len(batches) * len(lengths) * len(precisions)
         if total > MAX_GRID_POINTS:
             raise ValueError(f"grid of {total} points exceeds the "

@@ -6,10 +6,9 @@ claim honest, the tensor engine reports every executed op here; tests run
 the real NumPy model under :func:`record` capture and compare the observed
 matmul shapes *and dtypes* against the analytic trace.
 
-Recording observes **execution**, not graph construction: the eager path
-records as each op computes, and the lazy path records from
-:func:`repro.tensor.schedule.execute` when the scheduler realizes a node —
-so a capture around ``loss.data`` sees the same stream either way.
+Every op is recorded as it executes, in execution order, including the
+backward-pass kernels that :meth:`~repro.tensor.tensor.Tensor.backward`
+runs.
 
 Sinks are registered under integer tokens (monotonic, O(1) detach) so
 captures nest safely: detaching an outer capture while an inner one is

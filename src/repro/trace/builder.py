@@ -36,6 +36,21 @@ from repro.ops.base import Component, Kernel, OpClass, Phase, Region
 from repro.trace.kernel_table import KernelTable
 
 
+def _exact_sum(column) -> int:
+    """Exact total of an int64 column as a Python int.
+
+    NumPy's int64 ``sum`` wraps silently, so it is used only when
+    ``len × max|x|`` proves the running total cannot leave int64; larger
+    columns are summed as Python ints.
+    """
+    if not len(column):
+        return 0
+    bound = max(int(column.max()), -int(column.min()))
+    if len(column) * bound < 2 ** 63:
+        return int(column.sum())
+    return sum(column.tolist())
+
+
 class Trace:
     """Ordered kernel sequence of one training iteration.
 
@@ -71,22 +86,6 @@ class Trace:
                    table: KernelTable) -> "Trace":
         """A trace view over an existing (immutable) columnar table."""
         return cls(model, training, kernels=None, table=table)
-
-    @classmethod
-    def from_schedule(cls, model: BertConfig, training: TrainingConfig,
-                      schedule) -> "Trace":
-        """A trace lowered from a lazy tensor schedule.
-
-        ``schedule`` is an ordered list of :class:`~repro.tensor.lazy.
-        LazyOp` realize-items — either the analytic iteration graph
-        (:func:`repro.trace.lowerer.bert_iteration_graph`) or the
-        executed schedule of a model run under ``lazy_mode``.  Execution
-        and tracing share one linearization; see
-        :func:`repro.trace.lowerer.lower_schedule`.
-        """
-        from repro.trace.lowerer import lower_schedule
-
-        return cls.from_table(model, training, lower_schedule(schedule))
 
     # -------------------------------------------------------- representations
     @property
@@ -231,8 +230,9 @@ class Trace:
         """
         table = self.table
         if self._agg_cache is None or self._agg_cache[0] is not table:
-            self._agg_cache = (table, int(table.flops.sum()),
-                               int(table.bytes_total.sum()))
+            self._agg_cache = (table, _exact_sum(table.flops),
+                               _exact_sum(table.bytes_read)
+                               + _exact_sum(table.bytes_written))
         return self._agg_cache[1], self._agg_cache[2]
 
     @property

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.config import (BERT_BASE, BERT_LARGE, BERT_TINY, C1, C2, C3,
@@ -81,10 +82,20 @@ class TestTrainingConfig:
     @pytest.mark.parametrize("kwargs", [
         {"batch_size": 0}, {"seq_len": 0}, {"masked_fraction": 0.0},
         {"masked_fraction": 1.0}, {"optimizer": "adagrad"},
+        # Non-integer sizes used to pass (2.5 was labelled Ph1-B2.5-FP32).
+        {"batch_size": 2.5}, {"batch_size": 2.0}, {"batch_size": True},
+        {"seq_len": "128"}, {"seq_len": None},
     ])
     def test_invalid_training_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainingConfig(**kwargs)
+
+    def test_numpy_integer_sizes_stored_unchanged(self):
+        t = TrainingConfig(batch_size=np.int64(8), seq_len=np.int32(64))
+        assert type(t.batch_size) is np.int64
+        assert type(t.seq_len) is np.int32
+        assert t == TrainingConfig(batch_size=8, seq_len=64)
+        assert t.label == "Ph1-B8-FP32"
 
     def test_masked_positions_rounding(self):
         t = TrainingConfig(batch_size=1, seq_len=128, masked_fraction=0.15)

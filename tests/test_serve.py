@@ -25,6 +25,7 @@ from repro.experiments.points import POINT_REGISTRY
 from repro.obs import metrics
 from repro.serve import (App, HotCache, ProfilingService, create_server,
                          render_json, server_address)
+from repro.serve.service import MAX_GRID_EXTENT
 
 TINY = "tiny.ph1-b2-fp32"
 
@@ -195,20 +196,47 @@ class TestEndpointContracts:
             assert row["total_time_s"] > 0
 
     def test_grid_rejects_junk(self, app):
+        # Non-integer axis values used to be coerced by int() (2.5 -> 2,
+        # true -> 1), and 1e9 came back as a 200 with an OverflowError row.
+        specs = [{"model": "gpt-5"}, {"batch_sizes": []}, {"bogus_axis": [1]},
+                 {"batch_sizes": [2.5]}, {"batch_sizes": [True]},
+                 {"seq_lens": [2.0]}, {"seq_lens": ["128"]},
+                 {"batch_sizes": [1e9], "seq_lens": [512]},
+                 {"batch_sizes": [MAX_GRID_EXTENT + 1], "seq_lens": [1]},
+                 {"batch_sizes": [1], "seq_lens": [MAX_GRID_EXTENT + 1]}]
+
         async def scenario(host, port):
-            return (
-                await http_request(host, port, "POST", "/grid", b"not json"),
-                await http_request(host, port, "POST", "/grid",
-                                   json.dumps({"model": "gpt-5"}).encode()),
-                await http_request(host, port, "POST", "/grid",
-                                   json.dumps({"batch_sizes": []}).encode()),
-                await http_request(
-                    host, port, "POST", "/grid",
-                    json.dumps({"bogus_axis": [1]}).encode()),
-            )
+            bodies = [b"not json"] + [json.dumps(s).encode() for s in specs]
+            return [await http_request(host, port, "POST", "/grid", body)
+                    for body in bodies]
 
         responses = run(with_server(app, scenario))
-        assert [status for status, _, _ in responses] == [400, 400, 400, 400]
+        assert [status for status, _, _ in responses] == [400] * 11
+
+    def test_grid_largest_accepted_point_prices(self, app):
+        spec = {"model": "c3", "batch_sizes": [MAX_GRID_EXTENT],
+                "seq_lens": [MAX_GRID_EXTENT], "precisions": ["fp32", "mixed"]}
+
+        async def scenario(host, port):
+            return await http_request(host, port, "POST", "/grid",
+                                      json.dumps(spec).encode())
+
+        status, _, body = run(with_server(app, scenario))
+        assert status == 200
+        payload = json.loads(body)
+        assert payload["points"] == 2 and payload["failed"] == 0
+
+    def test_grid_extent_bound_keeps_int64_headroom(self):
+        from repro.config import Precision, TrainingConfig
+        from repro.serve.service import GRID_MODELS
+        from repro.trace.bert_trace import build_iteration_trace
+
+        edge = TrainingConfig(batch_size=MAX_GRID_EXTENT,
+                              seq_len=MAX_GRID_EXTENT,
+                              precision=Precision.FP32)
+        for model in GRID_MODELS.values():
+            trace = build_iteration_trace(model, edge)
+            assert max(trace.total_flops, trace.total_bytes) < 2 ** 63
 
     def test_keep_alive_serves_many_requests_per_connection(self, app):
         async def scenario(host, port):

@@ -75,6 +75,22 @@ class TestTraceBuilder:
         assert len(other) == 3 and other.model is trace.model
 
 
+class TestExactTotals:
+    @pytest.mark.parametrize("model, batch, seq_len", [
+        (BERT_TINY, 2, 16),
+        # NumPy's int64 sum wrapped these FLOPs to -3441991508294704941;
+        # the exact total is 15004752565414846675.
+        (BERT_LARGE, 131072, 16384),
+    ], ids=["fits-int64", "past-int64"])
+    def test_totals_are_exact(self, model, batch, seq_len):
+        trace = build_iteration_trace(
+            model, TrainingConfig(batch_size=batch, seq_len=seq_len))
+        table = trace.table
+        assert trace.total_flops == sum(table.flops.tolist())
+        assert trace.total_bytes == (sum(table.bytes_read.tolist())
+                                     + sum(table.bytes_written.tolist()))
+
+
 class TestIterationTrace:
     @pytest.fixture(scope="class")
     def trace(self) -> Trace:
