@@ -88,9 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sweep a (batch, seq-len, precision) grid through the "
              "batched grid engine")
     grid.add_argument("--model", default="bert-large",
-                      choices=("bert-tiny", "bert-base", "bert-large",
-                               "c1", "c2", "c3"),
-                      help="architecture to sweep (default bert-large)")
+                      help="architecture to sweep (default bert-large; "
+                           "bert-tiny/base/large or c1-c3)")
     grid.add_argument("--batch-sizes", default="4,16,32", metavar="B,B,...",
                       help="comma-separated batch sizes (default 4,16,32)")
     grid.add_argument("--seq-lens", default="128,512", metavar="N,N,...",
@@ -432,31 +431,30 @@ def _cmd_trace(point: str) -> int:
     return 0
 
 
+def _int_list(text: str) -> list[int]:
+    """``"4,16,32"`` as integers; ``ValueError`` names the bad item."""
+    try:
+        return [int(item) for item in text.split(",") if item]
+    except ValueError:
+        raise ValueError(f"{text!r} is not a comma-separated integer "
+                         "list") from None
+
+
 def _cmd_grid(model_name: str, batch_sizes: str, seq_lens: str,
               precisions: str, csv_path: str | None) -> int:
-    from repro.config import (BERT_BASE, BERT_LARGE, BERT_TINY, C1, C2, C3,
-                              Precision)
-    from repro.experiments.sweeps import cross_product, grid_sweep, rows_to_csv
+    from repro.experiments.sweeps import (cross_product, grid_axes,
+                                          grid_sweep, rows_to_csv)
     from repro.report.tables import format_percent, format_table
 
-    models = {"bert-tiny": BERT_TINY, "bert-base": BERT_BASE,
-              "bert-large": BERT_LARGE, "c1": C1, "c2": C2, "c3": C3}
-    precision_names = {"fp32": Precision.FP32, "mixed": Precision.MIXED}
     try:
-        batches = [int(b) for b in batch_sizes.split(",") if b]
-        lengths = [int(n) for n in seq_lens.split(",") if n]
-        precs = [precision_names[p.strip().lower()]
-                 for p in precisions.split(",") if p]
-    except (KeyError, ValueError):
-        print("bad grid axis; batch sizes and seq lens are integers, "
-              "precisions come from fp32,mixed", file=sys.stderr)
-        return 2
-    if not (batches and lengths and precs):
-        print("empty grid axis", file=sys.stderr)
+        model, batches, lengths, precs = grid_axes(
+            model_name, _int_list(batch_sizes), _int_list(seq_lens),
+            [p for p in precisions.split(",") if p])
+    except ValueError as error:
+        print(f"bad grid axis: {error}", file=sys.stderr)
         return 2
 
-    rows = grid_sweep(models[model_name],
-                      cross_product(batches, lengths, precs))
+    rows = grid_sweep(model, cross_product(batches, lengths, precs))
     table = []
     for row in rows:
         if "error" in row:

@@ -8,12 +8,12 @@ training, device fingerprint and code version), fronted by a small
 in-process table so repeated points within one invocation do not touch
 disk.
 
-Callers always receive *independent views*: the seed's ``lru_cache`` handed
-every caller the same mutable ``Trace``/``Profile``, so a fusion or
-checkpointing transform that mutated ``trace.kernels`` silently corrupted
-the cache for all later figures.  ``fork()`` hands each caller its own
-view — columnar-backed traces/profiles share the frozen backing arrays
-(copy-free), while materialized ones copy their containers.
+Callers always receive *their own views*: a memo that hands every caller
+the same mutable ``Trace``/``Profile`` lets one transform that mutates
+``trace.kernels`` corrupt every later figure.  Traces and profiles are
+read-only views over immutable columns, and ``fork()`` hands each caller
+a fresh view sharing them, so the memo never holds what a caller
+materialized.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from __future__ import annotations
 from repro.config import BertConfig, TrainingConfig
 from repro.hw.device import DeviceModel, mi100
 from repro.profiler.profiler import Profile, profile_trace
-from repro.runner import telemetry
-from repro.runner.cache import get_cache
+from repro.runner.cache import POINT_KERNELS, POINT_RESOLUTIONS, get_cache
 from repro.trace.bert_trace import build_iteration_trace
 from repro.trace.builder import Trace
 from repro.trace.passes import PassManager
@@ -54,8 +53,8 @@ def run_point(model: BertConfig, training: TrainingConfig,
     :class:`~repro.trace.passes.PassManager` — is applied to the generated
     trace before profiling; its :attr:`~repro.trace.passes.PassManager.
     signature` joins the cache key, so transformed variants of the same
-    point never collide with the raw one.  The returned objects are
-    private to the caller — mutating them cannot corrupt later fetches.
+    point never collide with the raw one.  The returned views are
+    read-only and private to the caller.
     """
     if device is None:
         device = default_device()
@@ -76,7 +75,6 @@ def run_point(model: BertConfig, training: TrainingConfig,
             cache.put(key, *entry)
         _memo[key] = entry
 
-    collector = telemetry.current()
-    if collector is not None:
-        collector.record_point(kernels=len(entry[0]), hit=hit)
+    POINT_RESOLUTIONS.inc(result="hit" if hit else "miss")
+    POINT_KERNELS.inc(len(entry[0]))
     return entry[0].fork(), entry[1].fork()

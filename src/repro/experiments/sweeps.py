@@ -14,7 +14,8 @@ import io
 import itertools
 from typing import Callable, Iterable
 
-from repro.config import BertConfig, TrainingConfig
+from repro.config import (BERT_BASE, BERT_LARGE, BERT_TINY, C1, C2, C3,
+                          BertConfig, Precision, TrainingConfig, is_integer)
 from repro.experiments.common import run_point
 from repro.hw.device import DeviceModel
 from repro.profiler.breakdown import summarize
@@ -185,6 +186,57 @@ def _grid_rows(model: BertConfig, trainings: list[TrainingConfig],
         except Exception as error:
             rows.append(_error_row(training, error))
     return rows
+
+
+#: Architectures a grid may name (``repro grid --model``, ``POST /grid``).
+GRID_MODELS: dict[str, BertConfig] = {
+    "bert-tiny": BERT_TINY, "bert-base": BERT_BASE,
+    "bert-large": BERT_LARGE, "c1": C1, "c2": C2, "c3": C3,
+}
+
+_GRID_PRECISIONS = {"fp32": Precision.FP32, "mixed": Precision.MIXED,
+                    "fp16": Precision.MIXED}
+
+#: Upper bound on every batch size and sequence length of a grid point,
+#: from int64 headroom: at B = n = 2**14 the costliest grid model (c3)
+#: totals about 0.51 * 2**63 FLOPs per iteration, so every per-kernel
+#: cost and every per-point total fits in int64.  At 2**15 on both axes
+#: the FLOP total passes 2**63.
+MAX_GRID_EXTENT = 2 ** 14
+
+
+def grid_axes(model_name: str, batch_sizes, seq_lens, precisions
+              ) -> tuple[BertConfig, list, list, list[Precision]]:
+    """Validate the axes of a grid sweep; raises ``ValueError`` on junk.
+
+    The one validator behind ``repro grid`` and ``POST /grid``: a known
+    model name, integer (not bool, not float) batch sizes and sequence
+    lengths in ``1..MAX_GRID_EXTENT``, precision names from
+    ``fp32``/``mixed``, and no empty axis.  Returns ``(model,
+    batch_sizes, seq_lens, precisions)`` ready for
+    :func:`cross_product`.
+    """
+    if model_name not in GRID_MODELS:
+        raise ValueError(f"unknown model {model_name!r}; valid: "
+                         f"{', '.join(sorted(GRID_MODELS))}")
+    try:
+        batches = list(batch_sizes)
+        lengths = list(seq_lens)
+        precs = [_GRID_PRECISIONS[str(p).strip().lower()]
+                 for p in precisions]
+        if not all(map(is_integer, batches + lengths)):
+            raise TypeError
+    except (KeyError, TypeError):
+        raise ValueError("batch_sizes/seq_lens must be integer lists, "
+                         "precisions from fp32,mixed") from None
+    if not (batches and lengths and precs):
+        raise ValueError("empty grid axis")
+    if min(batches) <= 0 or min(lengths) <= 0:
+        raise ValueError("batch sizes and seq lens must be positive")
+    if max(batches) > MAX_GRID_EXTENT or max(lengths) > MAX_GRID_EXTENT:
+        raise ValueError(f"batch sizes and seq lens must be at most "
+                         f"{MAX_GRID_EXTENT}")
+    return GRID_MODELS[model_name], batches, lengths, precs
 
 
 def cross_product(batch_sizes: Iterable[int], seq_lens: Iterable[int],

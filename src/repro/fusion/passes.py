@@ -17,9 +17,8 @@ fusing them would not reduce memory traffic.
 :class:`ElementwiseChainFusionPass` is the columnar implementation: chains
 are found by run-length grouping over the ``(fusion_code, phase, layer)``
 code columns and collapsed with ``reduceat`` aggregations — no per-kernel
-Python scan.  The original scan survives as
-:func:`repro.trace.reference.reference_fuse_elementwise_chains`, the
-oracle the pass is pinned against bit-exactly.
+Python scan.  Its output is pinned bit-exactly by the frozen kernel
+tables of ``tests/golden/kernel_tables.json``.
 """
 
 from __future__ import annotations

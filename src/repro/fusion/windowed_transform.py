@@ -12,8 +12,8 @@ rest are dropped with one boolean-mask select, and the per-phase windowed
 kernel block — built once as a layer-templated :class:`KernelTable` and
 :meth:`~repro.trace.kernel_table.KernelTable.tiled` per layer — replaces
 each marker via :meth:`~repro.trace.kernel_table.KernelTable.splice` with
-``replace=True``.  The original per-kernel scan survives as
-:func:`repro.trace.reference.reference_apply_windowed_attention`.
+``replace=True``.  Its output is pinned by the frozen kernel tables of
+``tests/golden/kernel_tables.json``.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ is effectively executed twice.
 :class:`CheckpointingPass` is the columnar implementation: the replay of
 each segment is built by a pool-level ``recompute.`` rename over the
 segment's forward rows and inserted with one :meth:`KernelTable.splice` at
-the segment's first backward row.  The original per-kernel scan survives
-as :func:`repro.trace.reference.reference_apply_checkpointing`.
+the segment's first backward row.  Its output is pinned by the frozen
+kernel tables of ``tests/golden/kernel_tables.json``.
 """
 
 from __future__ import annotations

@@ -106,7 +106,7 @@ class Retry:
         """Run ``fn`` under the policy; its return value on success.
 
         ``on_retry(attempt, error)`` fires before each backoff sleep
-        (the executor counts retries into its telemetry with it).
+        (the executor counts retries into its result counters with it).
         ``sleep``/``clock`` are injectable so the property tests can
         prove deadline compliance on a fake clock.
         """

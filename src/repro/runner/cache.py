@@ -79,6 +79,14 @@ _CACHE_REQUESTS = metrics.counter(
 _CACHE_WRITES = metrics.counter(
     "result_cache.writes", "disk-cache entries written")
 
+#: Operating points resolved by ``run_point`` and the grid engine
+#: (``result=hit|miss``) and the kernels they carry; the executor derives
+#: each experiment's manifest counters from their deltas.
+POINT_RESOLUTIONS = metrics.counter(
+    "run_point.resolutions", "operating-point resolutions by cache result")
+POINT_KERNELS = metrics.counter(
+    "run_point.kernels", "kernels in resolved profiles")
+
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import json
 
-from repro.config import (BERT_BASE, BERT_LARGE, BERT_TINY, C1, C2, C3,
-                          BertConfig, Precision, TrainingConfig, is_integer)
+from repro.config import BertConfig, TrainingConfig
 from repro.experiments.common import default_device, run_point
 from repro.experiments.points import POINT_REGISTRY
 from repro.faults import sites as fault_sites
@@ -36,25 +35,9 @@ from repro.profiler.breakdown import (component_breakdown, region_breakdown,
                                       summarize, transformer_breakdown)
 from repro.runner.cache import get_cache
 
-#: Architectures addressable in a ``POST /grid`` spec (the CLI's set).
-GRID_MODELS: dict[str, BertConfig] = {
-    "bert-tiny": BERT_TINY, "bert-base": BERT_BASE,
-    "bert-large": BERT_LARGE, "c1": C1, "c2": C2, "c3": C3,
-}
-
-_PRECISIONS = {"fp32": Precision.FP32, "mixed": Precision.MIXED,
-               "fp16": Precision.MIXED}
-
 #: Upper bound on points per ``POST /grid`` — a single request must not
 #: stamp an unbounded KernelTable.
 MAX_GRID_POINTS = 4096
-
-#: Upper bound on every batch size and sequence length of a ``POST /grid``
-#: point, from int64 headroom: at B = n = 2**14 the costliest grid model
-#: (c3) totals about 0.51 * 2**63 FLOPs per iteration, so every per-kernel
-#: cost and every per-point total fits in int64.  At 2**15 on both axes
-#: the FLOP total passes 2**63.
-MAX_GRID_EXTENT = 2 ** 14
 
 
 def render_json(payload: dict) -> bytes:
@@ -177,8 +160,12 @@ class ProfilingService:
 
     def parse_grid_spec(self, spec: dict
                         ) -> tuple[BertConfig, list[TrainingConfig]]:
-        """Validate a ``POST /grid`` body; raises ``ValueError`` on junk."""
-        from repro.experiments.sweeps import cross_product
+        """Validate a ``POST /grid`` body; raises ``ValueError`` on junk.
+
+        Axis rules are :func:`~repro.experiments.sweeps.grid_axes`, shared
+        with ``repro grid``; the point cap is this endpoint's own.
+        """
+        from repro.experiments.sweeps import cross_product, grid_axes
 
         if not isinstance(spec, dict):
             raise ValueError("grid spec must be a JSON object")
@@ -187,33 +174,14 @@ class ProfilingService:
         if unknown:
             raise ValueError(f"unknown grid spec fields: "
                              f"{', '.join(sorted(unknown))}")
-        model_name = spec.get("model", "bert-large")
-        if model_name not in GRID_MODELS:
-            raise ValueError(f"unknown model {model_name!r}; valid: "
-                             f"{', '.join(sorted(GRID_MODELS))}")
-        try:
-            batches = list(spec.get("batch_sizes", (32,)))
-            lengths = list(spec.get("seq_lens", (128,)))
-            precisions = [_PRECISIONS[str(p).lower()]
-                          for p in spec.get("precisions", ("fp32",))]
-            if not all(map(is_integer, batches + lengths)):
-                raise TypeError
-        except (KeyError, TypeError):
-            raise ValueError("batch_sizes/seq_lens must be integer lists, "
-                             "precisions from fp32,mixed") from None
-        if not (batches and lengths and precisions):
-            raise ValueError("empty grid axis")
-        if min(batches) <= 0 or min(lengths) <= 0:
-            raise ValueError("batch sizes and seq lens must be positive")
-        if max(batches) > MAX_GRID_EXTENT or max(lengths) > MAX_GRID_EXTENT:
-            raise ValueError(f"batch sizes and seq lens must be at most "
-                             f"{MAX_GRID_EXTENT}")
+        model, batches, lengths, precisions = grid_axes(
+            spec.get("model", "bert-large"), spec.get("batch_sizes", (32,)),
+            spec.get("seq_lens", (128,)), spec.get("precisions", ("fp32",)))
         total = len(batches) * len(lengths) * len(precisions)
         if total > MAX_GRID_POINTS:
             raise ValueError(f"grid of {total} points exceeds the "
                              f"{MAX_GRID_POINTS}-point request limit")
-        return (GRID_MODELS[model_name],
-                cross_product(batches, lengths, precisions))
+        return model, cross_product(batches, lengths, precisions)
 
     def grid_payload(self, model: BertConfig,
                      trainings: list[TrainingConfig]) -> dict:

@@ -35,7 +35,7 @@ Each row also carries a **provenance** code (pooled, ``-1`` meaning "from
 the trace generator") recording which rewrite pass produced it.  Provenance
 is table-only metadata: it does not appear on materialized
 :class:`Kernel` objects and does not participate in kernel equality, so
-golden tests comparing against the legacy list transforms stay bit-exact.
+it never moves the frozen kernel digests of the golden corpus.
 """
 
 from __future__ import annotations
@@ -224,9 +224,9 @@ class KernelTable:
         """Replicate this table once per layer index, stamping attribution.
 
         This is the layer-templating primitive: enumerate encoder layer 0
-        once, then stamp copies for the remaining identical layers.  Rows
-        whose layer index is already set keep it (mirroring
-        :meth:`TraceBuilder.add`, which only stamps unattributed kernels).
+        once, then stamp copies for the remaining identical layers.  Only
+        unattributed rows (layer ``-1``) are stamped; rows whose layer
+        index is already set keep it.
         """
         indices = np.asarray(list(layer_indices), dtype=np.int32)
         reps = len(indices)

@@ -24,3 +24,26 @@ def _isolated_runner_dirs(tmp_path_factory):
     mp.undo()
     cache.reset_cache()
     getattr(common, "clear_memo", lambda: None)()
+
+
+@pytest.fixture
+def run_counted(monkeypatch):
+    """Run a callable as a registered experiment through ``run_one``.
+
+    Returns ``(ExperimentResult.counters, the callable's return value)``,
+    so tests read operating-point counts exactly as the run manifest
+    records them.
+    """
+    from repro.experiments.registry import REGISTRY, Experiment
+    from repro.runner.executor import run_one
+
+    def run(fn):
+        box = []
+        monkeypatch.setitem(REGISTRY, "probe", Experiment(
+            "probe", "operating-point counter probe",
+            lambda: box.append(fn()), lambda _result: ""))
+        result = run_one("probe", use_result_cache=False)
+        assert result.ok, result.error
+        return result.counters, box[0]
+
+    return run

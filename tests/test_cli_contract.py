@@ -230,6 +230,22 @@ class TestGridCommand:
         assert main(["grid", "--precisions", "fp13"]) == 2
         assert "bad grid axis" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, reason", [
+        (["--batch-sizes", "0"], "must be positive"),
+        (["--batch-sizes", "1000000000"], "must be at most 16384"),
+        (["--seq-lens", "2.5"], "not a comma-separated integer list"),
+        (["--model", "bert-huge"], "unknown model 'bert-huge'"),
+    ])
+    def test_grid_refuses_bad_axes_like_post_grid(self, argv, reason,
+                                                  capsys):
+        """Same axis rules as ``POST /grid``: exit 2 with a usage
+        message, never a traceback or a FAILED row."""
+        assert main(["grid", *argv]) == 2
+        captured = capsys.readouterr()
+        assert "bad grid axis: " in captured.err
+        assert reason in captured.err
+        assert captured.out == ""
+
 
 class TestCacheCommand:
     def test_info_and_clear(self, tmp_path, monkeypatch, capsys):

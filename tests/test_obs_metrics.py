@@ -1,6 +1,4 @@
-"""Tests for the metrics registry (:mod:`repro.obs.metrics`) and the
-``threading.local`` telemetry regression (satellite of the observability
-PR: the old module-level stack interleaved collectors across threads)."""
+"""Tests for the metrics registry (:mod:`repro.obs.metrics`)."""
 
 from __future__ import annotations
 
@@ -11,7 +9,6 @@ import pytest
 from repro.obs import metrics as metrics_mod
 from repro.obs.metrics import (MetricsRegistry, diff_snapshots, hit_rates,
                                merge_snapshots)
-from repro.runner import telemetry
 
 
 @pytest.fixture
@@ -181,63 +178,3 @@ class TestSnapshotAlgebra:
             "g": {"kind": "gauge", "series": {"": 1.0}},
         }
         assert hit_rates(snapshot) == {"cache.hit_rate": 0.75}
-
-
-class TestTelemetryThreadLocal:
-    """Regression: the collector stack used to be one module-level list
-    shared by every thread, so concurrent collectors attributed each
-    other's points.  It is now ``threading.local``."""
-
-    def test_collectors_do_not_leak_across_threads(self):
-        errors: list[str] = []
-        barrier = threading.Barrier(4)
-
-        def work(index):
-            with telemetry.collect() as collector:
-                barrier.wait()  # all four collectors open at once
-                for _ in range(25):
-                    collector_now = telemetry.current()
-                    if collector_now is not collector:
-                        errors.append(f"thread {index} saw foreign "
-                                      "collector")
-                        return
-                    collector_now.record_point(kernels=1, hit=True)
-                barrier.wait()
-            if collector.points != 25 or collector.kernels != 25:
-                errors.append(f"thread {index} counted "
-                              f"{collector.points}/{collector.kernels}")
-
-        threads = [threading.Thread(target=work, args=(i,))
-                   for i in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert errors == []
-
-    def test_thread_without_collector_sees_none(self):
-        seen: list[object] = []
-        with telemetry.collect():
-            thread = threading.Thread(
-                target=lambda: seen.append(telemetry.current()))
-            thread.start()
-            thread.join()
-        assert seen == [None]
-
-    def test_collectors_nest_on_one_thread(self):
-        with telemetry.collect() as outer:
-            with telemetry.collect() as inner:
-                assert telemetry.current() is inner
-                inner.record_point(kernels=10, hit=False)
-            assert telemetry.current() is outer
-        assert (inner.points, inner.cache_misses) == (1, 1)
-        assert outer.points == 0
-
-    def test_record_point_feeds_registry(self):
-        from repro.obs import metrics
-
-        resolutions = metrics.counter("run_point.resolutions")
-        before = resolutions.value(result="hit")
-        with telemetry.collect() as collector:
-            collector.record_point(kernels=5, hit=True)
-        assert resolutions.value(result="hit") == before + 1

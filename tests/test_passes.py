@@ -1,36 +1,31 @@
 """Tests for the columnar pass pipeline (trace/passes.py and the ports).
 
-Every transform family is pinned bit-exactly against its legacy list-scan
-oracle in :mod:`repro.trace.reference`, composition order is exercised both
-ways, and the PassManager's signature / debug-validation / provenance
+Every transform family is pinned bit-exactly against its frozen kernel
+table in ``tests/golden/kernel_tables.json`` (see
+:mod:`tests.kernel_golden`), composition order is exercised both ways,
+and the PassManager's signature / debug-validation / provenance
 contracts are covered alongside the satellite regressions (FusionImpact
-zero guards, the builder stale-table hazard, pipeline-aware caching).
+zero guards, read-only trace views, pipeline-aware caching).
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.config import (BERT_LARGE, BERT_TINY, Precision, training_point)
-from repro.distributed import OptimizerShardPass, build_sliced_iteration_trace
-from repro.fusion import (ElementwiseChainFusionPass, FusedAttentionPass,
-                          WindowedAttentionPass)
+from repro.config import BERT_TINY
+from repro.distributed import OptimizerShardPass
+from repro.fusion import ElementwiseChainFusionPass, FusedAttentionPass
 from repro.fusion.passes import FusionImpact
 from repro.memoryplan import CheckpointingPass
 from repro.nmc import OptimizerOffloadPass, optimizer_workload
 from repro.ops.base import Component
-from repro.ops.windowed_attention import WindowConfig
 from repro.trace import (PassManager, TracePass, available_passes,
                          build_iteration_trace, build_pipeline)
-from repro.trace.reference import (reference_apply_checkpointing,
-                                   reference_apply_fused_attention,
-                                   reference_apply_windowed_attention,
-                                   reference_fuse_elementwise_chains,
-                                   reference_sliced_iteration_trace)
+from tests.kernel_golden import TINY, case_fingerprint, load_golden
 
-TINY = training_point(1, 2, Precision.FP32)
-LARGE = training_point(2, 4, Precision.MIXED)
+
+@pytest.fixture(scope="module")
+def golden():
+    return load_golden()
 
 
 @pytest.fixture(scope="module")
@@ -38,59 +33,40 @@ def tiny_trace():
     return build_iteration_trace(BERT_TINY, TINY)
 
 
-@pytest.fixture(scope="module")
-def large_trace():
-    return build_iteration_trace(BERT_LARGE, LARGE)
-
-
 class TestGoldenEquivalence:
-    """Each columnar pass reproduces its list-scan oracle bit-exactly."""
+    """Each columnar pass reproduces its frozen kernel table exactly."""
 
-    def test_fuse_elementwise(self, tiny_trace, large_trace):
-        for trace in (tiny_trace, large_trace):
-            got = PassManager((ElementwiseChainFusionPass(),)).run(trace)
-            want = reference_fuse_elementwise_chains(trace)
-            assert got.kernels == want.kernels
+    @staticmethod
+    def _check(golden, *names):
+        for name in names:
+            got, want = case_fingerprint(name), golden[name]
+            assert got == want, name
 
-    def test_checkpointing(self, tiny_trace, large_trace):
-        for trace in (tiny_trace, large_trace):
-            got = PassManager((CheckpointingPass(),)).run(trace)
-            assert got.kernels == reference_apply_checkpointing(trace).kernels
-        explicit = PassManager((CheckpointingPass(4),)).run(large_trace)
-        want = reference_apply_checkpointing(large_trace, 4)
-        assert explicit.kernels == want.kernels
+    def test_fuse_elementwise(self, golden):
+        self._check(golden, "pass.fuse_elementwise.tiny",
+                    "pass.fuse_elementwise.large")
 
-    def test_fused_attention(self, tiny_trace, large_trace):
-        for trace in (tiny_trace, large_trace):
-            got = PassManager((FusedAttentionPass(),)).run(trace)
-            want = reference_apply_fused_attention(trace)
-            assert got.kernels == want.kernels
+    def test_checkpointing(self, golden):
+        self._check(golden, "pass.checkpointing.tiny",
+                    "pass.checkpointing.large", "pass.checkpointing-4.large")
 
-    def test_windowed_attention(self, tiny_trace, large_trace):
-        for trace in (tiny_trace, large_trace):
-            got = PassManager((WindowedAttentionPass(),)).run(trace)
-            want = reference_apply_windowed_attention(trace)
-            assert got.kernels == want.kernels
-        window = WindowConfig(block=32, window_blocks=5)
-        got = PassManager((WindowedAttentionPass(window),)).run(large_trace)
-        want = reference_apply_windowed_attention(large_trace, window)
-        assert got.kernels == want.kernels
+    def test_fused_attention(self, golden):
+        self._check(golden, "pass.fused_attention.tiny",
+                    "pass.fused_attention.large")
 
-    def test_sliced_build(self):
-        for ways in (1, 4):
-            got = build_sliced_iteration_trace(BERT_TINY, TINY, ways)
-            want = reference_sliced_iteration_trace(BERT_TINY, TINY, ways)
-            assert got.kernels == want.kernels
+    def test_windowed_attention(self, golden):
+        self._check(golden, "pass.windowed_attention.tiny",
+                    "pass.windowed_attention.large",
+                    "pass.windowed_attention-32x5.large")
+
+    def test_sliced_build(self, golden):
+        self._check(golden, "sliced.tiny-ways1", "sliced.tiny-ways4")
 
 
 class TestComposition:
-    def test_composed_pipeline_matches_composed_oracle(self, tiny_trace):
-        pipeline = PassManager(
-            (ElementwiseChainFusionPass(), CheckpointingPass()))
-        got = pipeline.run(tiny_trace)
-        want = reference_apply_checkpointing(
-            reference_fuse_elementwise_chains(tiny_trace))
-        assert got.kernels == want.kernels
+    def test_composed_pipeline_matches_composed_oracle(self, golden):
+        name = "compose.fuse_elementwise+checkpointing.tiny"
+        assert case_fingerprint(name) == golden[name]
 
     def test_order_matters_for_kernel_counts(self, tiny_trace):
         fuse, ckpt = ElementwiseChainFusionPass(), CheckpointingPass()
@@ -254,17 +230,8 @@ class TestFusionImpactGuards:
 
 
 class TestBuilderStaleTable:
-    def test_inplace_same_length_mutation_rebuilds_table(self):
-        trace = build_iteration_trace(BERT_TINY, TINY)
-        table_before = trace.table
-        flops_before = trace.total_flops
-        kernels = trace.kernels
-        original = kernels[0]
-        kernels[0] = dataclasses.replace(original,
-                                         flops=original.flops + 1000)
-        assert trace.table is not table_before
-        assert int(trace.table.flops[0]) == original.flops + 1000
-        assert trace.total_flops == flops_before + 1000
+    """The table is a trace's only representation: materializing the
+    kernel view never rebuilds it."""
 
     def test_materialization_alone_keeps_the_table(self):
         trace = build_iteration_trace(BERT_TINY, TINY)

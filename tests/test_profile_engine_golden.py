@@ -1,141 +1,83 @@
-"""Golden equivalence: columnar engine vs. the reference implementations.
+"""Golden: the columnar build/profile/aggregate engine against its frozen corpus.
 
 The layer-templated trace build, the batched GEMM/bandwidth timing of
 ``kernel_times`` and the masked-reduction aggregation of ``Profile`` are
-optimizations over the seed's per-layer walk + scalar loop — they must not
-change a single number.  For every operating point the registry
-experiments exercise, this suite requires:
+optimizations over a per-layer walk + scalar loop — they must not change
+a single number.  ``tests/golden/kernel_tables.json`` (see
+:mod:`tests.kernel_golden`) pins, for every operating point the registry
+experiments exercise, on every device model:
 
-* identical kernel sequences (count, order, and full record equality);
-* bit-identical per-kernel times — the vectorized models apply the same
-  float64 operations in the same order as the scalar ones, so ``==``, not
-  ``approx``;
-* matching totals and breakdown fractions (``rel=1e-12``: ``np.sum`` is
-  pairwise while the reference uses sequential Python ``sum``).
+* the kernel sequence (count, order and every field);
+* the per-kernel times, bit for bit;
+* the exact ``summarize()`` values and Transformer-region fractions.
 """
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.config import (BERT_BASE, BERT_LARGE, BERT_TINY, FIG3_POINTS,
-                          Precision, training_point)
-from repro.hw.device import a100_like, mi100, v100_like
+from repro.config import BERT_TINY, Precision, training_point
+from repro.hw.device import mi100
 from repro.hw.timing import kernel_time, kernel_times
-from repro.profiler.breakdown import region_breakdown, summarize
 from repro.profiler.profiler import profile_trace
 from repro.trace.bert_trace import build_iteration_trace
-from repro.trace.reference import (reference_finetuning_trace,
-                                   reference_inference_trace,
-                                   reference_iteration_trace,
-                                   reference_profile, reference_summarize)
-from repro.trace.variants import build_finetuning_trace, build_inference_trace
-
-# Every operating-point family the registry experiments touch: the Fig. 3
-# points, the Fig. 8 batch ladder corner, checkpointing (Sec. 4), the
-# unfused-optimizer ablation (Fig. 12), and the adam/sgd emitters.
-PRETRAIN_POINTS = [
-    ("large-" + name, BERT_LARGE, training)
-    for name, training in zip(
-        ("ph1-b32", "ph1-b4", "ph2-b4", "ph1-b32-mixed", "ph2-b4-mixed"),
-        FIG3_POINTS)
-] + [
-    ("base-ph1-b16", BERT_BASE, training_point(1, 16, Precision.FP32)),
-    ("tiny-ph2-b4-ckpt", BERT_TINY,
-     training_point(2, 4, Precision.FP32, activation_checkpointing=True)),
-    ("tiny-ph1-b32-unfused", BERT_TINY,
-     training_point(1, 32, Precision.FP32, fuse_optimizer=False)),
-    ("tiny-ph1-b8-adam", BERT_TINY,
-     training_point(1, 8, Precision.MIXED, optimizer="adam")),
-    ("tiny-ph1-b8-sgd", BERT_TINY,
-     training_point(1, 8, Precision.FP32, optimizer="sgd")),
-]
-
-DEVICES = {"mi100": mi100, "v100": v100_like, "a100": a100_like}
+from tests.kernel_golden import CASES, case_fingerprint, load_golden
 
 
-def _assert_same_kernels(columnar, reference):
-    assert len(columnar) == len(reference)
-    assert columnar.kernels == reference.kernels
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return load_golden()
 
 
-def _assert_same_profiles(fast, slow):
-    times_fast = fast.times
-    times_slow = np.array([r.time_s for r in slow.records])
-    assert len(times_fast) == len(times_slow)
-    # Bit-identical: same float64 operations in the same order.
-    mismatched = (times_fast != times_slow).nonzero()[0]
-    assert len(mismatched) == 0, (
-        f"{len(mismatched)} kernel times differ; first at row "
-        f"{mismatched[0]}: {times_fast[mismatched[0]]!r} vs "
-        f"{times_slow[mismatched[0]]!r} "
-        f"({slow.records[mismatched[0]].kernel.name})")
-
-    assert fast.total_time == pytest.approx(slow.total_time, rel=1e-12)
-    fast_summary = summarize(fast)
-    slow_summary = reference_summarize(slow)
-    assert fast_summary.keys() == slow_summary.keys()
-    for key in fast_summary:
-        assert fast_summary[key] == pytest.approx(slow_summary[key],
-                                                  rel=1e-12), key
+def _assert_matches_golden(name: str, golden: dict) -> None:
+    got, want = case_fingerprint(name), golden[name]
+    for field in ("device", "kernels", "kernel_sha256", "times_sha256",
+                  "summary", "regions"):
+        assert got[field] == want[field], (name, field)
 
 
-@pytest.mark.parametrize("name,model,training",
-                         PRETRAIN_POINTS, ids=[p[0] for p in PRETRAIN_POINTS])
-def test_pretraining_point_equivalence(name, model, training):
-    columnar = build_iteration_trace(model, training)
-    reference = reference_iteration_trace(model, training)
-    _assert_same_kernels(columnar, reference)
-
-    device = mi100()
-    _assert_same_profiles(profile_trace(columnar, device),
-                          reference_profile(reference, device))
+def test_corpus_covers_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
 
 
-@pytest.mark.parametrize("device_name", sorted(DEVICES))
-def test_devices_equivalence(device_name):
-    """The batched timing path matches on every device model."""
-    model, training = BERT_TINY, training_point(2, 4, Precision.MIXED)
-    trace = build_iteration_trace(model, training)
-    device = DEVICES[device_name]()
-    _assert_same_profiles(profile_trace(trace, device),
-                          reference_profile(trace, device))
+PRETRAIN_CASES = sorted(name.removeprefix("pretrain.") for name in CASES
+                        if name.startswith("pretrain."))
+POINT_CASES = sorted(name.removeprefix("point.") for name in CASES
+                     if name.startswith("point."))
 
 
-def test_inference_equivalence():
-    model, training = BERT_BASE, training_point(1, 8, Precision.MIXED)
-    columnar = build_inference_trace(model, training)
-    reference = reference_inference_trace(model, training)
-    _assert_same_kernels(columnar, reference)
-    device = mi100()
-    _assert_same_profiles(profile_trace(columnar, device),
-                          reference_profile(reference, device))
+@pytest.mark.parametrize("name", PRETRAIN_CASES)
+def test_pretraining_point_equivalence(name, golden):
+    _assert_matches_golden(f"pretrain.{name}", golden)
 
 
-def test_finetuning_equivalence():
-    model, training = BERT_BASE, training_point(1, 8, Precision.FP32)
-    columnar = build_finetuning_trace(model, training)
-    reference = reference_finetuning_trace(model, training)
-    _assert_same_kernels(columnar, reference)
-    device = mi100()
-    _assert_same_profiles(profile_trace(columnar, device),
-                          reference_profile(reference, device))
+@pytest.mark.parametrize("device_name", ["a100", "mi100", "v100"])
+def test_devices_equivalence(device_name, golden):
+    """The batched timing path on every device model."""
+    _assert_matches_golden(f"device.{device_name}", golden)
 
 
-def test_region_breakdown_equivalence():
-    """Masked-reduction region fractions match record-scan fractions."""
-    trace = build_iteration_trace(BERT_TINY,
-                                  training_point(1, 32, Precision.FP32))
-    device = mi100()
-    fast = profile_trace(trace, device)
-    slow = reference_profile(trace, device)
-    fast_regions = region_breakdown(fast)
-    slow_regions = region_breakdown(slow)  # record-backed -> scan path
-    assert fast_regions.keys() == slow_regions.keys()
-    for region, entry in fast_regions.items():
-        assert entry.fraction == pytest.approx(
-            slow_regions[region].fraction, rel=1e-12), region
+def test_inference_equivalence(golden):
+    _assert_matches_golden("inference.base-ph1-b8-mixed", golden)
+
+
+def test_finetuning_equivalence(golden):
+    _assert_matches_golden("finetuning.base-ph1-b8-fp32", golden)
+
+
+def test_region_breakdown_equivalence(golden):
+    """Masked-reduction region fractions are pinned exactly."""
+    _assert_matches_golden("pretrain.tiny-ph1-b32", golden)
+    assert len(golden["pretrain.tiny-ph1-b32"]["regions"]) == 6
+
+
+@pytest.mark.parametrize("name", POINT_CASES)
+def test_registered_point_pipelines(name, golden):
+    """Every registered operating point under every named pipeline."""
+    _assert_matches_golden(f"point.{name}", golden)
 
 
 def test_kernel_times_matches_scalar_rowwise():
@@ -152,22 +94,23 @@ def test_kernel_times_matches_scalar_rowwise():
 
 
 def test_mutated_trace_still_equivalent():
-    """Once the kernel list is touched, the legacy scan paths take over
-    and still agree with a rebuilt columnar profile."""
+    """A trace rebuilt from a prefix of its kernels times those rows
+    exactly as the full trace did."""
     training = training_point(1, 4, Precision.FP32)
     trace = build_iteration_trace(BERT_TINY, training)
     device = mi100()
-    half = trace.kernels[:len(trace.kernels) // 2]  # materializes the view
-    truncated = trace.replaced(half)
-    fast = profile_trace(truncated, device)
-    slow = reference_profile(truncated, device)
-    _assert_same_profiles(fast, slow)
+    half = len(trace) // 2
+    truncated = trace.replaced(trace.kernels[:half])
+    assert truncated.kernels == trace.kernels[:half]
+    full = profile_trace(trace, device)
+    part = profile_trace(truncated, device)
+    assert (part.times == full.times[:half]).all()
+    assert part.total_time == pytest.approx(float(np.sum(full.times[:half])),
+                                            rel=1e-12)
 
 
 def test_pickle_roundtrip_preserves_equivalence():
     """The columnar pickle form (runner cache payload) loses nothing."""
-    import pickle
-
     training = training_point(2, 4, Precision.FP32)
     trace = build_iteration_trace(BERT_TINY, training)
     device = mi100()

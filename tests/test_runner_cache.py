@@ -1,10 +1,11 @@
 """Runner cache: content addressing, round-trips, aliasing regression.
 
-The aliasing test is the regression guard for the seed's ``lru_cache``
+The aliasing tests are the regression guard for the seed's ``lru_cache``
 bug: memoized ``run_point`` handed every caller the same mutable
 ``Trace``/``Profile``, so mutating ``trace.kernels`` corrupted the cache
-for every later figure.  Against that implementation the test fails; with
-the content-addressed cache plus defensive copies it passes.
+for every later figure.  Traces and profiles are read-only views over
+immutable columns: every mutation attempt raises, and the next fetch of
+the point is unchanged.
 """
 
 import dataclasses
@@ -18,7 +19,6 @@ from repro.experiments.common import run_point
 from repro.hw.device import mi100
 from repro.runner import cache as cache_module
 from repro.runner.cache import ResultCache
-from repro.runner.telemetry import collect
 
 TINY = TrainingConfig(batch_size=2, seq_len=16)
 DEVICE = mi100()
@@ -44,21 +44,30 @@ def fresh_cache(tmp_path):
 class TestAliasingRegression:
     def test_mutating_returned_trace_does_not_corrupt_cache(self):
         trace, _ = run_point(BERT_TINY, TINY)
-        n_kernels = len(trace.kernels)
-        trace.kernels.clear()  # a hostile downstream transform
+        kernels = trace.kernels
+        with pytest.raises(AttributeError):
+            trace.kernels.clear()  # a hostile downstream transform
+        with pytest.raises(TypeError):
+            trace.kernels[0] = trace.kernels[1]
+        with pytest.raises(ValueError, match="read-only"):
+            trace.table.flops[0] = 0
 
         again, _ = run_point(BERT_TINY, TINY)
-        assert len(again.kernels) == n_kernels
+        assert again.kernels == kernels
+        assert again.total_flops == trace.total_flops
 
     def test_mutating_returned_profile_does_not_corrupt_cache(self):
         _, profile = run_point(BERT_TINY, TINY)
-        n_records = len(profile.records)
+        records = profile.records
         total = profile.total_time
-        del profile.records[: n_records // 2]
+        with pytest.raises(TypeError):
+            del profile.records[: len(records) // 2]
+        with pytest.raises(ValueError, match="read-only"):
+            profile.times[0] = 0.0
 
         _, again = run_point(BERT_TINY, TINY)
-        assert len(again.records) == n_records
-        assert again.total_time == pytest.approx(total)
+        assert again.records == records
+        assert again.total_time == total
 
     def test_callers_get_distinct_containers(self):
         trace_a, profile_a = run_point(BERT_TINY, TINY)
@@ -130,26 +139,23 @@ class TestDiskRoundTrip:
         assert second.get(key) is not None
         assert second.stats.hits == 1
 
-    def test_corrupted_entry_falls_back_to_recompute(self):
-        with collect() as first:
-            run_point(BERT_TINY, TINY)
-        assert first.cache_misses == 1
+    def test_corrupted_entry_falls_back_to_recompute(self, run_counted):
+        first, _ = run_counted(lambda: run_point(BERT_TINY, TINY))
+        assert first["cache_misses"] == 1
 
         cache = cache_module.get_cache()
-        [entry] = cache.entries()
+        entry = cache._path(cache.key(BERT_TINY, TINY, DEVICE))
         entry.write_bytes(b"not a pickle")
         common.clear_memo()
 
-        with collect() as second:
-            trace, _ = run_point(BERT_TINY, TINY)
-        assert second.cache_misses == 1
+        second, (trace, _) = run_counted(lambda: run_point(BERT_TINY, TINY))
+        assert second["cache_misses"] == 1
         assert cache.stats.evictions == 1
         assert len(trace.kernels) > 0
         # The recompute rewrote the entry; it loads cleanly now.
         common.clear_memo()
-        with collect() as third:
-            run_point(BERT_TINY, TINY)
-        assert third.cache_hits == 1
+        third, _ = run_counted(lambda: run_point(BERT_TINY, TINY))
+        assert third["cache_hits"] == 1
 
     def test_truncated_pickle_falls_back(self, tmp_path):
         cache = ResultCache(root=tmp_path / "trunc")
@@ -176,26 +182,24 @@ class TestDiskRoundTrip:
 
 
 class TestRunPointThroughCache:
-    def test_second_invocation_hits_disk(self):
-        with collect() as first:
-            run_point(BERT_TINY, TINY)
-        assert (first.cache_hits, first.cache_misses) == (0, 1)
+    def test_second_invocation_hits_disk(self, run_counted):
+        first, _ = run_counted(lambda: run_point(BERT_TINY, TINY))
+        assert (first["cache_hits"], first["cache_misses"]) == (0, 1)
 
         common.clear_memo()  # simulate a new process, same cache dir
-        with collect() as second:
-            run_point(BERT_TINY, TINY)
-        assert (second.cache_hits, second.cache_misses) == (1, 0)
+        second, _ = run_counted(lambda: run_point(BERT_TINY, TINY))
+        assert (second["cache_hits"], second["cache_misses"]) == (1, 0)
 
-    def test_memo_hit_within_invocation(self):
-        with collect() as telemetry:
-            run_point(BERT_TINY, TINY)
-            run_point(BERT_TINY, TINY)
-        assert telemetry.cache_hits == 1
-        assert telemetry.cache_misses == 1
-        assert telemetry.points == 2
-        assert telemetry.kernels > 0
+    def test_memo_hit_within_invocation(self, run_counted):
+        counters, (trace, _) = run_counted(
+            lambda: [run_point(BERT_TINY, TINY) for _ in range(2)][-1])
+        assert counters["cache_hits"] == 1
+        assert counters["cache_misses"] == 1
+        assert counters["points"] == 2
+        assert counters["kernels"] == 2 * len(trace)
 
-    def test_custom_device_is_cached_under_its_fingerprint(self):
+    def test_custom_device_is_cached_under_its_fingerprint(self,
+                                                           run_counted):
         tweaked = dataclasses.replace(DEVICE, name="tweaked",
                                       mem_bandwidth_gbps=600.0)
         _, profile_default = run_point(BERT_TINY, TINY)
@@ -204,9 +208,9 @@ class TestRunPointThroughCache:
             profile_default.total_time)
 
         common.clear_memo()
-        with collect() as telemetry:
-            _, again = run_point(BERT_TINY, TINY, tweaked)
-        assert telemetry.cache_hits == 1
+        counters, (_, again) = run_counted(
+            lambda: run_point(BERT_TINY, TINY, tweaked))
+        assert counters["cache_hits"] == 1
         assert again.total_time == pytest.approx(
             profile_tweaked.total_time)
 
@@ -221,11 +225,16 @@ class TestRunPointThroughCache:
 
 class TestProfileTotalTimeCache:
     def test_append_invalidates(self):
+        """Appending a record is refused, so the cached total stays valid
+        for this view and the next fetch."""
         _, profile = run_point(BERT_TINY, TINY)
         before = profile.total_time
-        profile.records.append(profile.records[0])
-        assert profile.total_time == pytest.approx(
-            before + profile.records[0].time_s)
+        with pytest.raises(AttributeError):
+            profile.records.append(profile.records[0])
+        assert len(profile.records) == len(profile)
+        assert profile.total_time == before
+        _, again = run_point(BERT_TINY, TINY)
+        assert again.total_time == before
 
     def test_pickle_roundtrip_preserves_total(self):
         _, profile = run_point(BERT_TINY, TINY)

@@ -22,10 +22,10 @@ import json
 import pytest
 
 from repro.experiments.points import POINT_REGISTRY
+from repro.experiments.sweeps import MAX_GRID_EXTENT
 from repro.obs import metrics
 from repro.serve import (App, HotCache, ProfilingService, create_server,
                          render_json, server_address)
-from repro.serve.service import MAX_GRID_EXTENT
 
 TINY = "tiny.ph1-b2-fp32"
 
@@ -228,7 +228,7 @@ class TestEndpointContracts:
 
     def test_grid_extent_bound_keeps_int64_headroom(self):
         from repro.config import Precision, TrainingConfig
-        from repro.serve.service import GRID_MODELS
+        from repro.experiments.sweeps import GRID_MODELS
         from repro.trace.bert_trace import build_iteration_trace
 
         edge = TrainingConfig(batch_size=MAX_GRID_EXTENT,

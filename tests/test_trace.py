@@ -1,4 +1,4 @@
-"""Tests for trace generation: parameter inventory, builder, full iteration."""
+"""Tests for trace generation: parameter inventory, views, full iteration."""
 
 import pytest
 
@@ -8,7 +8,8 @@ from repro.ops.base import Component, DType, OpClass, Phase, Region
 from repro.trace.bert_trace import (build_iteration_trace,
                                     transformer_layer_backward_kernels,
                                     transformer_layer_forward_kernels)
-from repro.trace.builder import Trace, TraceBuilder
+from repro.trace.builder import Trace
+from repro.trace.kernel_table import KernelTable
 from repro.trace.parameters import (bert_parameter_inventory, group_by_layer,
                                     total_parameters)
 
@@ -44,12 +45,12 @@ class TestTraceBuilder:
                     BERT_TINY, TrainingConfig(batch_size=2, seq_len=16))[:1]]
 
     def test_layer_stamping(self):
-        training = TrainingConfig(batch_size=2, seq_len=16)
-        builder = TraceBuilder(BERT_TINY, training)
-        builder.set_layer(5)
-        builder.add(self._kernel())
-        trace = builder.build()
-        assert trace.kernels[0].layer_index == 5
+        """Tiling a layer template stamps only unattributed rows."""
+        unattributed = self._kernel()[0].with_layer(None)
+        attributed = unattributed.with_layer(9)
+        table = KernelTable.from_kernels([unattributed, attributed])
+        stamped = table.tiled([5, 6]).to_kernels()
+        assert [k.layer_index for k in stamped] == [5, 9, 6, 9]
 
     def test_select_filters_compose(self):
         trace = build_iteration_trace(BERT_TINY,
